@@ -23,9 +23,16 @@ exactly what the machine measures:
    "scheduling never hurts" property hold by construction.
 
 Because all interior blocks of a kernel share one register/dependence
-structure (only addresses differ), the computed permutation is cached by
-structural signature and re-applied in O(n) — without this, band-sampled
-out-of-cache runs would re-schedule thousands of identical blocks.
+structure and one line-relative address pattern, the computed permutation
+is cached by both and re-applied in O(n) — without this, band-sampled
+out-of-cache runs would re-schedule thousands of identical blocks.  The
+address pattern is part of the key because step 4's verdict depends on
+it: a permutation arbitrated for one pattern may lose to program order on
+another.  Lines are taken relative to the start of their *cluster* (runs
+of lines no further apart than the hardware prefetcher reaches), not to
+the trace's first line: a kernel's coefficient tables sit still while its
+grid rows move from block to block, and the distance between two clusters
+changes neither which accesses hit nor what the prefetcher fetches.
 
 A scheduled trace is a permutation of the input: functional semantics are
 preserved by construction (property-tested in the test suite).
@@ -42,7 +49,8 @@ from repro.machine.config import MachineConfig
 #: Ready instructions examined per scheduling step (priority-ordered).
 _BEAM = 24
 
-#: Permutation cache keyed by (machine name, structural signature).
+#: Permutation cache keyed by (machine name, structural signature,
+#: address pattern).
 _PERM_CACHE: Dict[Tuple, Tuple[int, ...]] = {}
 
 
@@ -51,6 +59,43 @@ def _signature(trace: Sequence[Instruction]) -> Tuple:
     return tuple(
         (ins.mnemonic, ins.port, tuple(ins.reads()), tuple(ins.writes()))
         for ins in trace
+    )
+
+
+def _address_pattern(trace: Sequence[Instruction], line_words: int, reach: int) -> Tuple:
+    """Memory footprint up to a translation of each cluster of lines.
+
+    Distinct lines split into clusters wherever two neighbours are more
+    than ``reach`` lines apart; clusters are numbered in the order the trace
+    first touches them, so moving one past another changes nothing.  One
+    ``(instruction index, cluster, line delta from the cluster's first
+    line, word offset in line, words)`` entry per accessed region;
+    prefetches add their level and write hint, which the structural
+    signature does not carry.
+    """
+    accesses = []
+    for idx, ins in enumerate(trace):
+        if isinstance(ins, PRFM):
+            regions = ((ins.addr, ins.length),)
+            extra = (ins.level, ins.write)
+        else:
+            regions = ins.mem_reads() + ins.mem_writes()
+            extra = ()
+        for addr, words in regions:
+            line, offset = divmod(addr, line_words)
+            accesses.append((idx, line, offset, words, extra))
+    start = {}
+    prev = base = None
+    for line in sorted({access[1] for access in accesses}):
+        if prev is None or line - prev > reach:
+            base = line
+        start[line] = base
+        prev = line
+    number: Dict[int, int] = {}
+    return tuple(
+        (idx, number.setdefault(start[line], len(number)), line - start[line], offset, words)
+        + extra
+        for idx, line, offset, words, extra in accesses
     )
 
 
@@ -281,7 +326,8 @@ def schedule_trace(
         return out
     aliasing = _has_memory_aliasing(trace)
     if not aliasing:
-        key = (config.name, _signature(trace))
+        pattern = _address_pattern(trace, config.l1.line_bytes // 8, config.hw_prefetch_depth)
+        key = (config.name, _signature(trace), pattern)
         perm = _PERM_CACHE.get(key)
         if perm is None:
             succs, indeg = _build_dag(trace, memory_edges=False)

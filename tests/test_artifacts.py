@@ -21,7 +21,7 @@ import pytest
 from repro.cli import main
 from repro.kernels import template as template_mod
 from repro.kernels.base import KernelOptions
-from repro.kernels.registry import METHODS, make_kernel
+from repro.kernels.registry import METHODS
 from repro.kernels.template import TraceCompiler, compile_stats, reset_compile_stats
 from repro.machine import artifacts
 from repro.machine import compiled as compiled_mod
@@ -32,7 +32,6 @@ from repro.machine.artifacts import (
     encode_trace,
     install_artifact_store,
 )
-from repro.machine.codegen import codegen_stats, reset_codegen_stats
 from repro.machine.compiled import (
     ProgramPool,
     clear_program_pool,
@@ -44,6 +43,7 @@ from repro.machine.memory import MemorySpace
 from repro.machine.timing import TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+from tests.capabilities import make_kernel_or_skip
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
@@ -55,37 +55,29 @@ def _isolated_store(monkeypatch):
     install_artifact_store(None)
     clear_program_pool(reset_stats=True)
     reset_compile_stats()
-    reset_codegen_stats()
     yield
     install_artifact_store(None)
     clear_program_pool(reset_stats=True)
     reset_compile_stats()
-    reset_codegen_stats()
 
 
 def _build(method, machine_name, stencil="star2d9p", rows=32, cols=32):
-    """Kernel + memory space; None if the method rejects this machine."""
+    """Kernel + memory space; skips cells the capability table rejects."""
     spec = benchmark(stencil)
     config = MACHINES[machine_name]()
     mem = MemorySpace()
     src = Grid2D(mem, rows, cols, spec.radius, "A", fill="random", seed=7)
     dst = Grid2D(mem, rows, cols, spec.radius, "B")
-    try:
-        kernel = make_kernel(method, spec, src, dst, config, KernelOptions(unroll_j=2))
-    except ValueError:
-        return None
+    kernel = make_kernel_or_skip(method, spec, src, dst, config, KernelOptions(unroll_j=2))
     return kernel, config, mem, dst
 
 
 def _timing_run(method, machine_name, store_dir, **build_kw):
-    """Fresh pools + (optional) store, one timing run; counter dict or None."""
+    """Fresh pools + (optional) store, one timing run; counter dict."""
     install_artifact_store(str(store_dir) if store_dir is not None else None)
     clear_program_pool(reset_stats=True)
     reset_compile_stats()
-    built = _build(method, machine_name, **build_kw)
-    if built is None:
-        return None
-    kernel, config, _, _ = built
+    kernel, config, _, _ = _build(method, machine_name, **build_kw)
     return TimingEngine(config, engine="compiled").run(kernel, sample=False, warm=True).to_dict()
 
 
@@ -97,8 +89,6 @@ def _timing_run(method, machine_name, store_dir, **build_kw):
 def test_timing_round_trip_bit_identical(method, machine_name, tmp_path):
     """serialize -> deserialize -> replay equals the live build exactly."""
     live = _timing_run(method, machine_name, None)
-    if live is None:
-        pytest.skip(f"{method} not applicable on {machine_name}")
     cold = _timing_run(method, machine_name, tmp_path)
     cold_stats = compile_stats()
     warm = _timing_run(method, machine_name, tmp_path)
@@ -124,10 +114,7 @@ def test_functional_round_trip_bit_identical(method, machine_name, tmp_path):
         install_artifact_store(str(store_dir) if store_dir is not None else None)
         clear_program_pool(reset_stats=True)
         reset_compile_stats()
-        built = _build(method, machine_name)
-        if built is None:
-            pytest.skip(f"{method} not applicable on {machine_name}")
-        kernel, _, mem, dst = built
+        kernel, _, mem, dst = _build(method, machine_name)
         fe = FunctionalEngine(mem)
         fe.run_kernel(kernel, engine="compiled")
         grids[phase] = (dst.get_full().copy(), fe.instructions_executed)
@@ -254,52 +241,12 @@ def test_program_pool_counters(tmp_path):
     assert warm["store_hits"] == cold["builds"]
 
 
-# -- codegen artifacts --------------------------------------------------------
-
-
-def _scalar_timing_run(
-    method, machine_name, store_dir, codegen="on", sample=True, **build_kw
-):
-    """Like :func:`_timing_run` but through the scalar replay path, which
-    dispatches per-block through ``process_template`` — the path that
-    generates (and persists) exec-compiled codegen kernels.  ``sample=False``
-    runs the full grid, touching every shape class."""
-    from repro.machine.timing import SamplePlan
-
-    install_artifact_store(str(store_dir) if store_dir is not None else None)
-    clear_program_pool(reset_stats=True)
-    reset_compile_stats()
-    reset_codegen_stats()
-    built = _build(method, machine_name, **build_kw)
-    if built is None:
-        return None
-    kernel, config, _, _ = built
-    plan = SamplePlan(warmup_bands=1, min_measure_points=600) if sample else None
-    engine = TimingEngine(config, engine="compiled", timing="scalar", codegen=codegen)
-    return engine.run(kernel, sample=sample, plan=plan, warm=True).to_dict()
-
-
-def test_codegen_round_trip_bit_identical(tmp_path):
-    """Cold run persists codegen kernels; a warm process loads every one."""
-    live = _scalar_timing_run("hstencil", "LX2", None)
-    cold = _scalar_timing_run("hstencil", "LX2", tmp_path)
-    cold_stats = codegen_stats()
-    warm = _scalar_timing_run("hstencil", "LX2", tmp_path)
-    warm_stats = codegen_stats()
-    assert cold == live and warm == live
-    assert cold_stats["generated"] >= 1
-    assert cold_stats["store_writes"] == cold_stats["generated"]
-    assert warm_stats["generated"] == 0
-    assert warm_stats["loaded"] == cold_stats["generated"]
-    assert warm_stats["demoted"] == 0
-    kinds = ArtifactStore(tmp_path).disk_stats()["kinds"]
-    assert kinds["codegen"]["entries"] == cold_stats["generated"]
-    assert kinds["codegen"]["bytes"] > 0
+# -- concurrent cold stores ---------------------------------------------------
 
 
 def test_concurrent_cold_generation_races_cleanly(tmp_path):
-    """Two processes generating the same classes on a cold store both
-    succeed via the atomic-write path, with exactly one entry per class."""
+    """Two processes compiling the same classes on a cold store both
+    succeed via the atomic-write path, with exactly one entry per digest."""
     import subprocess
     import sys
 
@@ -312,15 +259,14 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         "from repro.kernels.registry import make_kernel\n"
         "from repro.machine.config import LX2\n"
         "from repro.machine.memory import MemorySpace\n"
-        "from repro.machine.timing import SamplePlan, TimingEngine\n"
+        "from repro.machine.timing import TimingEngine\n"
         "from repro.stencils.grid import Grid2D\n"
         "from repro.stencils.library import benchmark\n"
         "spec = benchmark('star2d9p'); config = LX2(); mem = MemorySpace()\n"
-        "src = Grid2D(mem, 33, 48, spec.radius, 'A', fill='random', seed=13)\n"
+        "src = Grid2D(mem, 33, 48, spec.radius, 'A', fill='random', seed=7)\n"
         "dst = Grid2D(mem, 33, 48, spec.radius, 'B')\n"
         "kernel = make_kernel('hstencil', spec, src, dst, config, KernelOptions(unroll_j=2))\n"
-        "engine = TimingEngine(config, engine='compiled', timing='scalar', codegen='on')\n"
-        "pc = engine.run(kernel, sample=True, plan=SamplePlan(warmup_bands=1, min_measure_points=600))\n"
+        "pc = TimingEngine(config, engine='compiled').run(kernel, sample=False, warm=True)\n"
         "print(json.dumps(pc.to_dict(), sort_keys=True))\n"
     )
     src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -339,12 +285,10 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         assert proc.returncode == 0, err.decode()
     # Both raced processes measured bit-identical counters.
     assert outs[0][0] == outs[1][0]
-    # The store holds exactly one entry per class digest (atomic replace,
-    # content-addressed paths), every entry parses, and no temp files leak.
-    files = _artifact_files(store / "codegen")
+    # Content-addressed paths plus atomic replace: every entry parses and
+    # no temp files leak.
+    files = _artifact_files(store)
     assert files
-    digests = [os.path.splitext(os.path.basename(p))[0] for p in files]
-    assert len(digests) == len(set(digests))
     for path in files:
         with open(path) as fh:
             json.load(fh)
@@ -355,58 +299,76 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         if not f.endswith(".json")
     ]
     assert leftovers == []
-    # A warm process after the race loads everything: zero live generations.
-    warm = _scalar_timing_run("hstencil", "LX2", store, rows=33, cols=48)
-    stats = codegen_stats()
+    # A warm process after the race loads everything: nothing compiled live.
+    warm = _timing_run("hstencil", "LX2", store, rows=33, cols=48)
     assert warm == json.loads(outs[0][0])
-    assert stats["generated"] == 0 and stats["loaded"] == len(files)
+    assert compile_stats()["compiled_classes"] == 0
+    assert program_pool_stats()["builds"] == 0
 
 
-def test_tampered_codegen_source_demotes_only_that_class(tmp_path):
-    """A corrupt stored source blob demotes its class on load without
-    poisoning other classes or the measurement cache."""
-    from repro.bench.cache import MeasurementCache
+# -- stores written before the codegen layer was retired ----------------------
 
-    live = _scalar_timing_run(
-        "hstencil", "LX2", tmp_path, sample=False, rows=33, cols=48
-    )
-    cold_stats = codegen_stats()
-    total = cold_stats["generated"]
-    assert total >= 2
-    victim = _artifact_files(tmp_path / "codegen")[0]
-    with open(victim) as fh:
-        blob = json.load(fh)
-    blob["data"]["source"] += "\npipe.flops += 1\n"
-    with open(victim, "w") as fh:
-        json.dump(blob, fh)
-    rebuilt = _scalar_timing_run(
-        "hstencil", "LX2", tmp_path, sample=False, rows=33, cols=48
-    )
-    stats = codegen_stats()
-    assert rebuilt == live  # the demoted class replays interpreted
-    assert stats["demoted"] == 1
-    assert stats["loaded"] == total - 1
-    # The measurement cache records only bit-identical counters afterwards.
-    from repro.bench.runner import ExperimentRunner
 
-    clear_program_pool(reset_stats=True)
-    cache_dir = tmp_path / "meas"
-    runner = ExperimentRunner(
-        LX2(),
-        KernelOptions(unroll_j=2),
-        cache_dir=str(cache_dir),
-        timing="scalar",
-        artifact_dir=str(tmp_path),
-    )
-    from repro.machine.timing import SamplePlan
+def _write_retired_codegen_entries(store_dir, count=3):
+    """``codegen/`` entries in the layout the retired exec-compiled kernel
+    layer persisted: one generated source per shape class and flavour."""
+    import hashlib
 
-    plan = SamplePlan(warmup_bands=1, min_measure_points=600)
-    cell = runner.measure("hstencil", "star2d9p", (32, 32), plan=plan)
-    entries = [p for p in _artifact_files(cache_dir)]
-    assert entries
-    with open(entries[0]) as fh:
-        cached = json.load(fh)
-    assert cached["counters"] == cell.counters.to_dict()
+    store = ArtifactStore(store_dir)
+    paths = []
+    for i in range(count):
+        signature = f"{i:064x}"
+        source = f"def __kernel(pipe, addrs):\n    pipe.flops += {i}\n"
+        digest = artifacts.artifact_digest(
+            {"kind": "codegen", "flavor": "timing", "meta": artifacts.artifact_meta(),
+             "signature": signature, "version": 2}
+        )
+        payload = {
+            "version": 2,
+            "flavor": "timing",
+            "source": source,
+            "sha256": hashlib.sha256(source.encode()).hexdigest(),
+            "content": signature,
+        }
+        assert store.store(
+            "codegen", digest, payload,
+            inputs={"flavor": "timing", "signature": signature, "content": signature},
+        )
+        paths.append(store.path_for("codegen", digest))
+    return paths
+
+
+def test_store_with_retired_codegen_entries_stays_usable(tmp_path):
+    """Leftover ``codegen/`` entries neither disturb a warm load nor escape
+    the per-kind scan and prune tooling."""
+    live = _timing_run("hstencil", "LX2", None)
+    cold = _timing_run("hstencil", "LX2", tmp_path)
+    cold_stats = compile_stats()
+    retired = _write_retired_codegen_entries(tmp_path)
+
+    warm = _timing_run("hstencil", "LX2", tmp_path)
+    warm_stats = compile_stats()
+    assert cold == live and warm == live
+    assert warm_stats["compiled_classes"] == 0
+    assert warm_stats["loaded_classes"] == cold_stats["compiled_classes"]
+    assert active_store().stats()["invalid"] == 0
+
+    scan = artifacts.scan_tree(tmp_path)
+    assert scan["kinds"]["codegen"] == {
+        "entries": len(retired),
+        "bytes": sum(os.path.getsize(p) for p in retired),
+    }
+
+    old = time.time() - 10 * 86400
+    for path in retired:
+        os.utime(path, (old, old))
+    pruned = artifacts.prune_tree(tmp_path, max_age_days=5)
+    assert pruned["removed"] == len(retired)
+    assert pruned["kinds"]["codegen"]["removed"] == len(retired)
+    assert not any(os.path.exists(p) for p in retired)
+    assert "codegen" not in artifacts.scan_tree(tmp_path)["kinds"]
+    assert _timing_run("hstencil", "LX2", tmp_path) == live
+    assert compile_stats()["compiled_classes"] == 0
 
 
 # -- store maintenance -------------------------------------------------------
@@ -501,16 +463,16 @@ def test_cli_precompile_and_cache(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["artifacts"]["entries"] >= 2
-    # Per-kind reporting enumerates the codegen kind alongside the others.
+    # Per-kind reporting enumerates every kind the precompile wrote.
     kinds = payload["artifacts"]["kinds"]
-    assert kinds["codegen"]["entries"] >= 1 and kinds["codegen"]["bytes"] > 0
-    assert "timing" in kinds and "templates" in kinds
+    assert {"functional", "templates", "timing"} <= set(kinds)
+    assert all(k["entries"] >= 1 and k["bytes"] > 0 for k in kinds.values())
 
     rc = main(["cache", "prune", "--artifact-dir", store_dir, "--max-bytes", "0"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["artifacts"]["kept"] == 0
-    assert payload["artifacts"]["kinds"]["codegen"]["removed"] >= 1
+    assert payload["artifacts"]["kinds"]["timing"]["removed"] >= 1
     assert ArtifactStore(store_dir).disk_stats()["entries"] == 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kernels.base import KernelOptions
-from repro.kernels.registry import METHODS, make_kernel
+from repro.kernels.registry import METHODS
 from repro.machine.columnar import ColumnarReplayer
 from repro.machine.config import LX2, M4
 from repro.machine.memory import MemorySpace
@@ -27,6 +27,7 @@ from repro.machine.timing import (
 )
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+from tests.capabilities import make_kernel_or_skip
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
@@ -38,24 +39,18 @@ PLAN = SamplePlan(warmup_bands=1, min_measure_points=600)
 
 
 def _build(method, machine_name, stencil, rows, cols):
-    """Kernel + config; None if the method rejects this machine."""
+    """Kernel + config; skips cells the capability table rejects."""
     spec = benchmark(stencil)
     config = MACHINES[machine_name]()
     mem = MemorySpace()
     src = Grid2D(mem, rows, cols, spec.radius, "A", fill="random", seed=11)
     dst = Grid2D(mem, rows, cols, spec.radius, "B")
-    try:
-        kernel = make_kernel(method, spec, src, dst, config, KernelOptions(unroll_j=2))
-    except ValueError:
-        return None  # method not available on this machine (e.g. no V-FMLA)
+    kernel = make_kernel_or_skip(method, spec, src, dst, config, KernelOptions(unroll_j=2))
     return kernel, config
 
 
 def _sampled(method, machine_name, stencil, rows, cols, timing):
-    built = _build(method, machine_name, stencil, rows, cols)
-    if built is None:
-        pytest.skip(f"{method} not applicable on {machine_name}")
-    kernel, config = built
+    kernel, config = _build(method, machine_name, stencil, rows, cols)
     engine = TimingEngine(config, engine="compiled", timing=timing)
     return engine.run(kernel, sample=True, plan=PLAN)
 
@@ -72,8 +67,7 @@ def test_columnar_sampled_bit_identical(method, machine_name, stencil, rows, col
 def test_forced_demotion_falls_back_bit_identically(monkeypatch):
     """A class that fails probe verification must demote permanently and
     keep producing counters identical to the all-scalar walk."""
-    built = _build("hstencil", "LX2", "box2d9p", 37, 29)
-    kernel, config = built
+    kernel, config = _build("hstencil", "LX2", "box2d9p", 37, 29)
 
     scalar = TimingEngine(config, engine="compiled", timing="scalar").run(
         kernel, sample=True, plan=PLAN
@@ -92,8 +86,7 @@ def test_forced_demotion_falls_back_bit_identically(monkeypatch):
     )
     monkeypatch.setattr(ColumnarReplayer, "_demote", counting_demote)
 
-    built = _build("hstencil", "LX2", "box2d9p", 37, 29)
-    kernel, config = built
+    kernel, config = _build("hstencil", "LX2", "box2d9p", 37, 29)
     columnar = TimingEngine(config, engine="compiled", timing="columnar").run(
         kernel, sample=True, plan=PLAN
     )

@@ -22,6 +22,7 @@ from repro.machine.memory import MemorySpace
 from repro.machine.timing import ENGINES, TimingEngine, default_engine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+from tests.capabilities import make_kernel_or_skip
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
@@ -30,16 +31,13 @@ GRIDS = [("star2d9p", 32, 32), ("box2d9p", 21, 27)]
 
 
 def _build(method, machine_name, stencil, rows, cols):
-    """Kernel + its memory space; None if the method rejects this machine."""
+    """Kernel + its memory space; skips cells the capability table rejects."""
     spec = benchmark(stencil)
     config = MACHINES[machine_name]()
     mem = MemorySpace()
     src = Grid2D(mem, rows, cols, spec.radius, "A", fill="random", seed=7)
     dst = Grid2D(mem, rows, cols, spec.radius, "B")
-    try:
-        kernel = make_kernel(method, spec, src, dst, config, KernelOptions(unroll_j=2))
-    except ValueError:
-        return None  # method not available on this machine (e.g. no V-FMLA)
+    kernel = make_kernel_or_skip(method, spec, src, dst, config, KernelOptions(unroll_j=2))
     return kernel, config, mem, dst
 
 
@@ -47,10 +45,7 @@ def _build(method, machine_name, stencil, rows, cols):
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_timing_counters_bit_identical(method, machine_name, stencil, rows, cols):
-    built = _build(method, machine_name, stencil, rows, cols)
-    if built is None:
-        pytest.skip(f"{method} not applicable on {machine_name}")
-    kernel, config, _, _ = built
+    kernel, config, _, _ = _build(method, machine_name, stencil, rows, cols)
     ref = TimingEngine(config, engine="reference").run(kernel, sample=False, warm=True)
     cmp_ = TimingEngine(config, engine="compiled").run(kernel, sample=False, warm=True)
     assert cmp_.to_dict() == ref.to_dict()
@@ -62,10 +57,7 @@ def test_timing_counters_bit_identical(method, machine_name, stencil, rows, cols
 def test_functional_grids_bit_identical(method, machine_name, stencil, rows, cols):
     outputs = {}
     for engine in ENGINES:
-        built = _build(method, machine_name, stencil, rows, cols)
-        if built is None:
-            pytest.skip(f"{method} not applicable on {machine_name}")
-        kernel, _, mem, dst = built
+        kernel, _, mem, dst = _build(method, machine_name, stencil, rows, cols)
         fe = FunctionalEngine(mem)
         fe.run_kernel(kernel, engine=engine)
         outputs[engine] = (dst.get_full().copy(), fe.instructions_executed)

@@ -7,6 +7,7 @@ simulated memory with the vectorized reference.
 
 import pytest
 
+from tests.capabilities import build_or_skip
 from tests.helpers import assert_matches_reference, run_method_2d, run_method_3d
 from repro.kernels.base import KernelOptions
 from repro.stencils.library import benchmark
@@ -32,10 +33,9 @@ STENCILS_3D = ["star3d7p", "star3d13p", "box3d27p"]
 @pytest.mark.parametrize("method", METHODS_2D)
 def test_2d_lx2(method, stencil, lx2):
     spec = benchmark(stencil)
-    try:
-        got, ref = run_method_2d(method, spec, lx2)
-    except ValueError:
-        pytest.skip(f"{method} not defined for {stencil}")
+    got, ref = build_or_skip(
+        method, spec, lx2, 16, 32, 2, lambda: run_method_2d(method, spec, lx2)
+    )
     assert_matches_reference(got, ref)
 
 
@@ -43,10 +43,9 @@ def test_2d_lx2(method, stencil, lx2):
 @pytest.mark.parametrize("method", METHODS_3D)
 def test_3d_lx2(method, stencil, lx2):
     spec = benchmark(stencil)
-    try:
-        got, ref = run_method_3d(method, spec, lx2)
-    except ValueError:
-        pytest.skip(f"{method} not defined for {stencil}")
+    got, ref = build_or_skip(
+        method, spec, lx2, 16, 32, 2, lambda: run_method_3d(method, spec, lx2)
+    )
     assert_matches_reference(got, ref)
 
 

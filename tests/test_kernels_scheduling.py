@@ -125,6 +125,36 @@ class TestWindowsAndCache:
         m1 = [i.mnemonic for i in t1]
         assert m0 == m1
 
+    def test_cache_keyed_by_address_pattern(self):
+        """Same structural signature, different addresses, run in sequence:
+        the second trace gets its own arbitration instead of replaying the
+        permutation kept for the first."""
+
+        def trace(st0, ld0, ld1, st1):
+            return Trace(
+                [
+                    FMLA(VReg(0), VReg(6), VReg(3)),
+                    ST1D(VReg(2), st0),
+                    LD1D(VReg(1), ld0),
+                    FMOPA(TileReg(0), VReg(5), VReg(3)),
+                    LD1D(VReg(2), ld1),
+                    FMOPA(TileReg(3), VReg(2), VReg(5)),
+                    ST1D(VReg(6), st1),
+                ]
+            )
+
+        first = trace(2432, 1144, 1328, 2520)
+        # Both loads hit one line: program order takes the second as an L1 hit.
+        second = trace(2520, 1520, 1520, 2192)
+        clear_schedule_cache()
+        schedule_trace(first, LX2())
+        after_first = schedule_trace(second, LX2())
+        clear_schedule_cache()
+        fresh = schedule_trace(second, LX2())
+        assert list(after_first) == list(fresh)
+        cycles = TimingEngine(LX2()).run_trace(after_first).cycles
+        assert cycles <= TimingEngine(LX2()).run_trace(second).cycles
+
     def test_cache_keyed_by_machine(self):
         clear_schedule_cache()
         from repro.machine.config import M4

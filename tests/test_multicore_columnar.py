@@ -28,6 +28,7 @@ from repro.machine.multicore import MulticoreModel
 from repro.machine.timing import SamplePlan, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+from tests.capabilities import build_or_skip
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
@@ -45,7 +46,7 @@ PLAN = SamplePlan(warmup_bands=1, min_measure_points=600)
 
 
 def _kernel_builder(method, config, stencil=STENCIL, cols=COLS):
-    """``kernel_for_rows`` closure; None if the method rejects the machine."""
+    """``kernel_for_rows`` closure; skips cells the capability table rejects."""
     spec = benchmark(stencil)
 
     def kernel_for_rows(rows):
@@ -54,18 +55,15 @@ def _kernel_builder(method, config, stencil=STENCIL, cols=COLS):
         dst = Grid2D(mem, rows, cols, spec.radius, "B")
         return make_kernel(method, spec, src, dst, config, KernelOptions(unroll_j=2))
 
-    try:
-        kernel_for_rows(TOTAL_ROWS)
-    except ValueError:
-        return None  # method not available on this machine (e.g. no V-FMLA)
+    build_or_skip(
+        method, spec, config, TOTAL_ROWS, cols, 2, lambda: kernel_for_rows(TOTAL_ROWS)
+    )
     return kernel_for_rows
 
 
 def _sweep(method, machine_name, timing):
     config = MACHINES[machine_name]()
     builder = _kernel_builder(method, config)
-    if builder is None:
-        pytest.skip(f"{method} not applicable on {machine_name}")
     mc = MulticoreModel(config, engine="compiled", timing=timing)
     return mc.strong_scaling(builder, TOTAL_ROWS, CORES, plan=PLAN)
 

@@ -30,6 +30,7 @@ from repro.machine.timing import (
 )
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+from tests.capabilities import build_or_skip
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
@@ -57,10 +58,10 @@ def _build(method, machine_name, stencil, rows, cols, seed=11):
 
 
 def _full(method, machine_name, steady, stencil, rows, cols):
-    try:
-        kernel, config = _build(method, machine_name, stencil, rows, cols)
-    except ValueError as exc:
-        pytest.skip(f"{method} on {machine_name} {stencil}: {exc}")
+    kernel, config = build_or_skip(
+        method, benchmark(stencil), MACHINES[machine_name](), rows, cols, 2,
+        lambda: _build(method, machine_name, stencil, rows, cols),
+    )
     engine = TimingEngine(config, engine="compiled", steady=steady)
     counters = engine.run(kernel, sample=False, warm=False)
     return counters, engine.steady_stats
