@@ -32,6 +32,7 @@ from repro.machine.artifacts import (
     encode_trace,
     install_artifact_store,
 )
+from repro.machine.codegen import codegen_stats
 from repro.machine.compiled import (
     ProgramPool,
     clear_program_pool,
@@ -369,6 +370,65 @@ def test_store_with_retired_codegen_entries_stays_usable(tmp_path):
     assert "codegen" not in artifacts.scan_tree(tmp_path)["kinds"]
     assert _timing_run("hstencil", "LX2", tmp_path) == live
     assert compile_stats()["compiled_classes"] == 0
+
+
+def test_codegen_round_trip_bit_identical(tmp_path):
+    """A cold run persists no ``codegen`` kind; the warm process replays
+    every class from the remaining kinds bit-identically."""
+    live = _timing_run("hstencil", "LX2", None)
+    cold = _timing_run("hstencil", "LX2", tmp_path)
+    cold_stats = compile_stats()
+    kinds = ArtifactStore(tmp_path).disk_stats()["kinds"]
+    warm = _timing_run("hstencil", "LX2", tmp_path)
+    warm_stats = compile_stats()
+    assert cold == live and warm == live
+    assert "codegen" not in kinds
+    assert {"templates", "timing"} <= set(kinds)
+    assert warm_stats["compiled_classes"] == 0
+    assert warm_stats["loaded_classes"] == cold_stats["compiled_classes"]
+    assert all(v == 0 for v in codegen_stats().values())
+
+
+def test_tampered_codegen_source_demotes_only_that_class(tmp_path):
+    """A corrupt leftover ``codegen/`` source blob is never executed: it
+    poisons neither the classes served from the store nor the measurement
+    cache."""
+    from repro.bench.runner import ExperimentRunner
+    from repro.machine.timing import SamplePlan
+
+    live = _timing_run("hstencil", "LX2", None, rows=33, cols=48)
+    _timing_run("hstencil", "LX2", tmp_path, rows=33, cols=48)
+    total = compile_stats()["compiled_classes"]
+    assert total >= 2
+    victim = _write_retired_codegen_entries(tmp_path, count=1)[0]
+    with open(victim) as fh:
+        blob = json.load(fh)
+    blob["data"]["source"] += "\npipe.flops += 1\n"
+    with open(victim, "w") as fh:
+        json.dump(blob, fh)
+    rebuilt = _timing_run("hstencil", "LX2", tmp_path, rows=33, cols=48)
+    stats = compile_stats()
+    assert rebuilt == live
+    assert stats["compiled_classes"] == 0
+    assert stats["loaded_classes"] == total
+    assert active_store().stats()["invalid"] == 0
+    # The measurement cache records only bit-identical counters afterwards.
+    clear_program_pool(reset_stats=True)
+    cache_dir = tmp_path / "meas"
+    runner = ExperimentRunner(
+        LX2(),
+        KernelOptions(unroll_j=2),
+        cache_dir=str(cache_dir),
+        timing="scalar",
+        artifact_dir=str(tmp_path),
+    )
+    plan = SamplePlan(warmup_bands=1, min_measure_points=600)
+    cell = runner.measure("hstencil", "star2d9p", (32, 32), plan=plan)
+    entries = _artifact_files(cache_dir)
+    assert entries
+    with open(entries[0]) as fh:
+        cached = json.load(fh)
+    assert cached["counters"] == cell.counters.to_dict()
 
 
 # -- store maintenance -------------------------------------------------------

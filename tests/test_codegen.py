@@ -1,46 +1,35 @@
-"""Bit-identity of the exec-compiled replay kernels vs the interpreted walk.
+"""The retired codegen layer's remaining contract.
 
-``codegen="on"`` (the default) emits a specialized straight-line Python
-function per probe-verified shape class — opcodes unrolled, latencies and
-register indices inlined as literals — and dispatches to it instead of the
-interpreted program.  The contract is the same as every prior engine mode:
-*exact* equality with the interpreted path for every method, machine and
-grid shape, with any probe mismatch or ``exec`` failure demoting that class
-permanently to the interpreted program.  These tests enforce that contract
-across the whole method registry on both machine presets, exercise the
-forced-demotion and exec-failure fallbacks, and pin the ``REPRO_CODEGEN``
-selection plumbing.
+Template replay is always the interpreted program walk plus columnar
+replay; :mod:`repro.machine.codegen` is only a stub whose
+``codegen_stats()`` reports zeros for the benchmark worker.  These tests
+pin what is left: ``REPRO_CODEGEN`` (still set by ``perfbench/ablate.py``)
+is accepted and has no effect, the ``codegen=`` parameter and the CLI
+``--codegen`` flag are gone, no engine generates or loads a kernel, and a
+warm store serves every class without generating anything.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.kernels.base import KernelOptions
-from repro.kernels.registry import METHODS, make_kernel
-from repro.machine import codegen as codegen_mod
-from repro.machine.artifacts import install_artifact_store
-from repro.machine.codegen import (
-    CODEGEN_MODES,
-    codegen_stats,
-    default_codegen,
-    reset_codegen_stats,
-)
-from repro.machine.compiled import clear_program_pool
-from repro.machine.config import LX2, M4
-from repro.machine.functional import FunctionalEngine
+from repro.kernels.template import compile_stats, reset_compile_stats
+from repro.machine.artifacts import active_store, install_artifact_store
+from repro.machine.codegen import codegen_stats
+from repro.machine.compiled import clear_program_pool, program_pool_stats
+from repro.machine.config import LX2
 from repro.machine.memory import MemorySpace
 from repro.machine.timing import SamplePlan, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+from tests.capabilities import make_kernel_or_skip
 
-MACHINES = {"LX2": LX2, "M4": M4}
+#: The counters ``perfbench/worker.py`` reads from ``codegen_stats()``.
+WORKER_KEYS = {"generated", "chunk_generated", "loaded", "demoted", "chunk_demoted", "exec_failed"}
 
-#: Odd sizes so tail-predicated rows exercise more than one shape class.
-GRIDS = [("box2d9p", 37, 29), ("star2d9p", 33, 48)]
-
-#: Tiny plan so even these small grids run several measured bands.
+#: Tiny plan so even this small grid runs several measured bands.
 PLAN = SamplePlan(warmup_bands=1, min_measure_points=600)
 
 
@@ -51,207 +40,76 @@ def _isolated(monkeypatch):
     monkeypatch.delenv("REPRO_CODEGEN", raising=False)
     install_artifact_store(None)
     clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
+    reset_compile_stats()
     yield
     install_artifact_store(None)
     clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
+    reset_compile_stats()
 
 
-def _build(method, machine_name, stencil, rows, cols):
-    """Kernel + config + memory; None if the method rejects this machine."""
-    spec = benchmark(stencil)
-    config = MACHINES[machine_name]()
+def _timed(engine="compiled", timing="scalar"):
+    """One sampled hstencil star2d9p run on an odd LX2 grid; counter dict."""
+    spec = benchmark("star2d9p")
+    config = LX2()
     mem = MemorySpace()
-    src = Grid2D(mem, rows, cols, spec.radius, "A", fill="random", seed=13)
-    dst = Grid2D(mem, rows, cols, spec.radius, "B")
-    try:
-        kernel = make_kernel(method, spec, src, dst, config, KernelOptions(unroll_j=2))
-    except ValueError:
-        return None  # method not available on this machine (e.g. no V-FMLA)
-    return kernel, config, mem, dst
+    src = Grid2D(mem, 33, 48, spec.radius, "A", fill="random", seed=13)
+    dst = Grid2D(mem, 33, 48, spec.radius, "B")
+    kernel = make_kernel_or_skip("hstencil", spec, src, dst, config, KernelOptions(unroll_j=2))
+    runner = TimingEngine(config, engine=engine, timing=timing)
+    return runner.run(kernel, sample=True, plan=PLAN).to_dict()
 
 
-def _timed(method, machine_name, stencil, rows, cols, codegen, timing="scalar"):
-    built = _build(method, machine_name, stencil, rows, cols)
-    if built is None:
-        pytest.skip(f"{method} not applicable on {machine_name}")
-    kernel, config, _, _ = built
-    engine = TimingEngine(config, engine="compiled", timing=timing, codegen=codegen)
-    return engine.run(kernel, sample=True, plan=PLAN)
-
-
-# -- timing bit identity ------------------------------------------------------
-
-
-@pytest.mark.parametrize("stencil,rows,cols", GRIDS, ids=[g[0] for g in GRIDS])
-@pytest.mark.parametrize("machine_name", sorted(MACHINES))
-@pytest.mark.parametrize("method", sorted(METHODS))
-def test_timing_codegen_bit_identical(method, machine_name, stencil, rows, cols):
-    interp = _timed(method, machine_name, stencil, rows, cols, "off")
-    reset_codegen_stats()
-    generated = _timed(method, machine_name, stencil, rows, cols, "on")
+def _assert_stub_idle():
     stats = codegen_stats()
-    assert generated.to_dict() == interp.to_dict()
-    assert stats["generated"] >= 1
-    assert stats["verified"] >= 1
-    assert stats["demoted"] == 0 and stats["exec_failed"] == 0
-
-
-@pytest.mark.parametrize("machine_name", sorted(MACHINES))
-def test_columnar_chunk_codegen_bit_identical(machine_name):
-    """Phase-P chunk bodies are also generatable, with the same contract."""
-    interp = _timed("hstencil", machine_name, "star2d9p", 33, 48, "off", "columnar")
-    reset_codegen_stats()
-    generated = _timed("hstencil", machine_name, "star2d9p", 33, 48, "on", "columnar")
-    stats = codegen_stats()
-    assert generated.to_dict() == interp.to_dict()
-    assert stats["chunk_generated"] >= 1
-    assert stats["chunk_demoted"] == 0
-
-
-def test_full_run_codegen_bit_identical():
-    """Exact (unsampled) runs dispatch through the same generated kernels."""
-    built = _build("hstencil", "LX2", "star2d5p", 31, 35)
-    kernel, config, _, _ = built
-    interp = TimingEngine(config, engine="compiled", codegen="off").run(
-        kernel, sample=False, warm=True
-    )
-    built = _build("hstencil", "LX2", "star2d5p", 31, 35)
-    kernel, config, _, _ = built
-    generated = TimingEngine(config, engine="compiled", codegen="on").run(
-        kernel, sample=False, warm=True
-    )
-    assert generated.to_dict() == interp.to_dict()
-
-
-# -- functional bit identity --------------------------------------------------
-
-
-@pytest.mark.parametrize("machine_name", sorted(MACHINES))
-@pytest.mark.parametrize("method", ["hstencil", "vector-only"])
-def test_functional_codegen_bit_identical(method, machine_name):
-    grids = {}
-    for mode in ("off", "on"):
-        clear_program_pool(reset_stats=True)
-        built = _build(method, machine_name, "box2d9p", 37, 29)
-        if built is None:
-            pytest.skip(f"{method} not applicable on {machine_name}")
-        kernel, _, mem, dst = built
-        fe = FunctionalEngine(mem, codegen=(mode == "on"))
-        fe.run_kernel(kernel, engine="compiled")
-        grids[mode] = (dst.get_full().copy(), fe.instructions_executed)
-    assert np.array_equal(grids["on"][0], grids["off"][0])
-    assert grids["on"][1] == grids["off"][1]
-    stats = codegen_stats()
-    assert stats["generated"] >= 1 and stats["demoted"] == 0
-
-
-# -- demotion ladder ----------------------------------------------------------
-
-
-def test_forced_demotion_falls_back_bit_identically(monkeypatch):
-    """A class that fails the live probe must demote permanently and keep
-    producing counters identical to the interpreted walk."""
-    interp = _timed("hstencil", "LX2", "box2d9p", 37, 29, "off")
-    reset_codegen_stats()
-    # Every timing probe "fails": all shape classes must demote.
-    monkeypatch.setattr(codegen_mod, "_pipes_match", lambda clone, pipe: False)
-    generated = _timed("hstencil", "LX2", "box2d9p", 37, 29, "on")
-    stats = codegen_stats()
-    assert stats["demoted"] >= 1
-    assert stats["verified"] == 0
-    assert generated.to_dict() == interp.to_dict()
-
-
-def test_exec_failure_demotes_bit_identically(monkeypatch):
-    """Unparseable generated source is an automatic demotion, not an error."""
-    interp = _timed("hstencil", "LX2", "star2d9p", 33, 48, "off")
-    reset_codegen_stats()
-    monkeypatch.setattr(
-        codegen_mod, "timing_kernel_source", lambda program, config: "def __kernel("
-    )
-    generated = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    stats = codegen_stats()
-    assert stats["exec_failed"] >= 1
-    assert stats["demoted"] >= 1
-    assert stats["generated"] == 0
-    assert generated.to_dict() == interp.to_dict()
-
-
-def test_chunk_exec_failure_demotes_bit_identically(monkeypatch):
-    interp = _timed("hstencil", "LX2", "star2d9p", 33, 48, "off", "columnar")
-    reset_codegen_stats()
-    monkeypatch.setattr(
-        codegen_mod, "chunk_walk_source", lambda chunk, ports, config: "def __chunk("
-    )
-    generated = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on", "columnar")
-    stats = codegen_stats()
-    assert stats["chunk_demoted"] >= 1
-    assert generated.to_dict() == interp.to_dict()
-
-
-# -- warm store loads ---------------------------------------------------------
+    assert set(stats) == WORKER_KEYS
+    assert all(v == 0 for v in stats.values())
 
 
 def test_store_load_skips_generation(tmp_path):
-    """A warm process loads kernels from the AOT store: zero generations."""
+    """A warm process serves every class from the store: nothing is fitted,
+    lowered or generated, and the store holds no ``codegen`` entries."""
     install_artifact_store(str(tmp_path))
-    cold = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    cold_stats = codegen_stats()
-    assert cold_stats["generated"] >= 1
-    assert cold_stats["store_writes"] == cold_stats["generated"]
+    cold = _timed()
+    cold_stats = compile_stats()
+    assert cold_stats["compiled_classes"] >= 1
     clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
-    warm = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    warm_stats = codegen_stats()
-    assert warm.to_dict() == cold.to_dict()
-    assert warm_stats["generated"] == 0
-    assert warm_stats["loaded"] == cold_stats["generated"]
-    assert warm_stats["demoted"] == 0
-
-
-def test_version_skew_demotes_on_load(tmp_path, monkeypatch):
-    """A stored kernel from a different generator version never runs."""
-    install_artifact_store(str(tmp_path))
-    cold = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
-    # Version skew on the *payload* check (the digest still matches because
-    # we fake the stored blob's version, not the lookup's).
-    original = codegen_mod._state_from_payload
-
-    def skewed(data, flavor, content, namespace, *args, **kwargs):
-        data = dict(data, version=codegen_mod.CODEGEN_VERSION + 1)
-        return original(data, flavor, content, namespace, *args, **kwargs)
-
-    monkeypatch.setattr(codegen_mod, "_state_from_payload", skewed)
-    demoted = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    stats = codegen_stats()
-    assert stats["demoted"] >= 1 and stats["loaded"] == 0
-    assert demoted.to_dict() == cold.to_dict()
-
-
-# -- mode selection -----------------------------------------------------------
+    reset_compile_stats()
+    warm = _timed()
+    warm_stats = compile_stats()
+    assert warm == cold
+    assert warm_stats["compiled_classes"] == 0
+    assert warm_stats["loaded_classes"] == cold_stats["compiled_classes"]
+    assert warm_stats["load_demotions"] == 0
+    assert program_pool_stats()["builds"] == 0
+    assert "codegen" not in active_store().disk_stats()["kinds"]
+    _assert_stub_idle()
 
 
 class TestCodegenSelection:
-    def test_default_codegen_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEGEN", raising=False)
-        assert default_codegen() == "on"
-
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "off")
-        assert default_codegen() == "off"
-        assert TimingEngine(LX2()).codegen == "off"
+        """``REPRO_CODEGEN`` is unread: any value, even one the retired layer
+        rejected, leaves the counters bit-identical to an unset variable."""
+        baseline = _timed()
+        for value in ("off", "on", "fast"):
+            monkeypatch.setenv("REPRO_CODEGEN", value)
+            clear_program_pool(reset_stats=True)
+            assert _timed() == baseline
+        _assert_stub_idle()
 
-    def test_unknown_codegen_rejected(self):
-        with pytest.raises(ValueError, match="unknown codegen"):
-            TimingEngine(LX2(), codegen="fast")
-
-    def test_modes_are_exactly_the_documented_pair(self):
-        assert CODEGEN_MODES == ("on", "off")
+    def test_unknown_codegen_rejected(self, capsys):
+        """The ``codegen=`` parameter and the ``--codegen`` flag are gone."""
+        with pytest.raises(TypeError, match="codegen"):
+            TimingEngine(LX2(), codegen="off")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--codegen", "off"])
+        assert exc.value.code == 2
+        assert "--codegen" in capsys.readouterr().err
 
     def test_reference_engine_never_uses_codegen(self):
-        engine = TimingEngine(LX2(), engine="reference", codegen="on")
-        assert engine._make_pipe().codegen is False
+        """Neither engine generates, loads or demotes a kernel, and both walk
+        the same interpreted model."""
+        reference = _timed(engine="reference")
+        for timing in ("scalar", "columnar"):
+            clear_program_pool(reset_stats=True)
+            assert _timed(timing=timing) == reference
+        _assert_stub_idle()
