@@ -146,46 +146,29 @@ def _grid_fingerprint(grid) -> Dict:
     }
 
 
-def _frame_analysis(
-    addr0: np.ndarray, deltas: Tuple[Tuple[int, np.ndarray], ...]
-) -> Tuple[Tuple[bool, ...], int, Tuple[int, ...]]:
-    """Split a template's addresses into a static and a moving frame.
+def _nonuniform_dims(deltas: Tuple[Tuple[int, np.ndarray], ...]) -> Tuple[int, ...]:
+    """Dimensions whose deltas shift a template's addresses apart.
 
     A template is *two-frame clean* when one index set M moves by a single
     per-dimension stride (``delta_d[i] == v_d`` for every ``i`` in M) while
-    the rest never move at all (``delta_d[i] == 0`` everywhere).  Then all
-    moving addresses shift **together** from block to block and everything
-    the timing memo records about them stays valid as a base-relative
-    offset.  Returns ``(static_flags, base_addr_idx, nonuniform_dims)``;
-    the last is non-empty only for unclean templates, which the memo skips.
+    the rest never move at all (``delta_d[i] == 0`` everywhere), so all
+    moving addresses shift **together** from block to block.  Clean
+    templates (including ones whose addresses never move) get ``()``;
+    otherwise every dimension whose delta is not constant across addresses
+    is listed.  The steady-state certificate refuses non-clean templates.
     """
-    n = len(addr0)
     moving = None
     for _d, delta in deltas:
-        nz = np.nonzero(delta)[0]
+        nz = np.flatnonzero(delta)
         if nz.size == 0:
             continue
-        vals = delta[nz]
-        if bool(np.any(vals != vals[0])):
-            moving = None
-            break
-        nzset = frozenset(nz.tolist())
         if moving is None:
-            moving = nzset
-        elif moving != nzset:
-            moving = None
-            break
-    else:
-        if moving is None:
-            # No address moves at all (single-block class): treat every
-            # address as moving so the class still relocates trivially.
-            return (False,) * n, 0, ()
-        static = tuple(i not in moving for i in range(n))
-        return static, min(moving), ()
-    nonuniform = tuple(
-        d for d, delta in deltas if delta.size > 1 and bool(np.any(delta != delta[0]))
-    )
-    return (False,) * n, 0, nonuniform
+            moving = nz.tobytes()
+        if moving != nz.tobytes() or bool(np.any(delta[nz] != delta[nz[0]])):
+            return tuple(
+                d for d, dd in deltas if dd.size > 1 and bool(np.any(dd != dd[0]))
+            )
+    return ()
 
 
 def operand_extents(trace, addrs: Sequence[int]):
@@ -231,8 +214,6 @@ class RowTemplate:
         "key0",
         "addr0",
         "deltas",
-        "static_addrs",
-        "base_addr_idx",
         "nonuniform_dims",
         "_addr0_list",
         "_functional",
@@ -258,18 +239,10 @@ class RowTemplate:
         self.addr0 = addr0
         #: ``(dimension, per-address word delta)`` for each varying dimension.
         self.deltas = deltas
-        #: Two-frame partition of the address vector (see the timing memo):
-        #: ``static_addrs[i]`` is True when address ``i`` never moves with
-        #: the block key (coefficient tables, reduction scalars), and
-        #: ``base_addr_idx`` indexes a *moving* address — the frame origin
-        #: all relative line offsets are measured from.  ``nonuniform_dims``
-        #: is empty exactly when the template is two-frame clean (every
-        #: moving address shifts by the same amount per key step); otherwise
-        #: it lists the dimensions whose deltas shift addresses relative to
-        #: each other, and the memo skips the template.
-        self.static_addrs, self.base_addr_idx, self.nonuniform_dims = _frame_analysis(
-            addr0, deltas
-        )
+        #: Empty exactly when the template is two-frame clean (every moving
+        #: address shifts by the same amount per key step); otherwise the
+        #: dimensions whose deltas shift addresses relative to each other.
+        self.nonuniform_dims = _nonuniform_dims(deltas)
         self._addr0_list: List[int] = addr0.tolist()
         self._functional: object = _UNBUILT
         self._timing: object = _UNBUILT

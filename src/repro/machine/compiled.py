@@ -205,8 +205,6 @@ class TimingProgram:
         "n_prfm",
         "n_addrs",
         "plan_payload",
-        "_dep_union",
-        "_write_union",
     )
 
     def __init__(
@@ -230,30 +228,6 @@ class TimingProgram:
         #: Serialized columnar plan riding along with a store-loaded program
         #: (see :mod:`repro.machine.columnar`); ``None`` on live builds.
         self.plan_payload = None
-        self._dep_union: Optional[Tuple[int, ...]] = None
-        self._write_union: Optional[Tuple[int, ...]] = None
-
-    def dep_union(self) -> Tuple[int, ...]:
-        """Sorted union of every step's dependence slots (cached).
-
-        These are the only scoreboard slots whose entry values the walk can
-        ever read — the live-in set both memoization layers key on.
-        """
-        if self._dep_union is None:
-            union: set = set()
-            for step in self.steps:
-                union.update(step[0])
-            self._dep_union = tuple(sorted(union))
-        return self._dep_union
-
-    def write_union(self) -> Tuple[int, ...]:
-        """Sorted union of every step's write slots (cached)."""
-        if self._write_union is None:
-            union: set = set()
-            for step in self.steps:
-                union.update(step[1])
-            self._write_union = tuple(sorted(union))
-        return self._write_union
 
 
 #: Config-independent static step data per instruction *signature*:

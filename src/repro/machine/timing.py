@@ -76,6 +76,18 @@ def default_steady() -> str:
     return os.environ.get("REPRO_STEADY", "on")
 
 
+#: Pass-level fixed-point memoization on iterated full runs: ``pass`` stops
+#: walking passes once the machine state at a pass boundary recurs and
+#: applies the remaining passes' counter deltas arithmetically; ``off``
+#: walks every pass.  Compiled engine only.
+MEMO_MODES = ("pass", "off")
+
+
+def default_memo() -> str:
+    """Pass-memo mode (``REPRO_MEMO`` overrides, case-insensitively)."""
+    return os.environ.get("REPRO_MEMO", "pass").lower()
+
+
 def _add_scaled(base: PerfCounters, delta: PerfCounters, n: int) -> PerfCounters:
     """``base + n * delta``, exact on every counter field.
 
@@ -155,6 +167,12 @@ class TimingEngine:
                 f"unknown steady {steady!r}; expected one of {STEADY_MODES}"
             )
         self.steady = steady
+        memo = default_memo()
+        if memo not in MEMO_MODES:
+            raise ValueError(
+                f"unknown REPRO_MEMO mode {memo!r}; expected one of {MEMO_MODES}"
+            )
+        self.memo = memo
         #: In-process steady records keyed by bundle digest: a verified
         #: ``(period, delta, signature)`` from any earlier run (or the
         #: artifact store) lets later runs skip detection entirely and go
@@ -190,12 +208,10 @@ class TimingEngine:
             return lambda block: pipe.process_trace(kernel.emit(block))
 
         from repro.kernels.template import TraceCompiler
-        from repro.machine.memo import TimingMemo, memo_enabled
 
         config = self.config
         if compiler is None:
             compiler = TraceCompiler(kernel, nest=nest, config=config)
-        memo = TimingMemo(config) if memo_enabled() else None
 
         def run_block(block: KernelBlock) -> None:
             entry = compiler.lookup(block)
@@ -203,10 +219,7 @@ class TimingEngine:
                 template, addrs = entry
                 program = template.timing_program(config)
                 if program is not None:
-                    if memo is not None:
-                        memo.replay(pipe, program, template, addrs)
-                    else:
-                        pipe.process_template(program, addrs)
+                    pipe.process_template(program, addrs)
                     return
             pipe.process_trace(kernel.emit(block))
 
@@ -270,20 +283,14 @@ class TimingEngine:
         same template classes the replay resolves.
         """
         compiler = None
-        use_columnar = False
         if self.engine == "compiled":
             from repro.kernels.template import TraceCompiler
-            from repro.machine.memo import memo_enabled
 
             compiler = TraceCompiler(kernel, nest=nest, config=self.config)
-            # Columnar replay vectorizes the first pass the same way it
-            # vectorizes sampled bands; the block-level REPRO_MEMO modes
-            # keep the scalar memoized walk (their exact-key replay already
-            # collapses warm passes, and the diagnostic value of running
-            # them lies in exercising that layer).
-            use_columnar = self.timing == "columnar" and not memo_enabled()
 
-        if use_columnar:
+        # Columnar replay vectorizes the first pass the same way it
+        # vectorizes sampled bands.
+        if compiler is not None and self.timing == "columnar":
             from repro.machine.columnar import ColumnarReplayer
 
             run_band = ColumnarReplayer(
@@ -380,11 +387,7 @@ class TimingEngine:
         # remaining passes are provably identical — their counter deltas
         # are applied arithmetically instead of being re-simulated.  The
         # reference engine always walks every pass.
-        use_skip = False
-        if iters > 1 and self.engine == "compiled":
-            from repro.machine.memo import pass_memo_enabled
-
-            use_skip = pass_memo_enabled()
+        use_skip = iters > 1 and self.engine == "compiled" and self.memo == "pass"
 
         prev_sig = pipe.state_digest() if use_skip else None
         prev_snap = before if before is not None else pipe.snapshot()

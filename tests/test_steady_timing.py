@@ -14,10 +14,12 @@ through the compiled-artifact store (warm runs skip detection entirely).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import METHODS, make_kernel
+from repro.kernels.template import RowTemplate
 from repro.machine.artifacts import install_artifact_store
 from repro.machine.config import LX2, M4
 from repro.machine.memory import MemorySpace
@@ -217,6 +219,40 @@ def test_steady_record_round_trip(tmp_path):
         assert second.to_dict() == first.to_dict()
     finally:
         install_artifact_store(None)
+
+
+# ---------------------------------------------------------------------------
+# Certificate input: a template's nonuniform dimensions
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "deltas,expected",
+    [
+        # No address moves at all (single-block class).
+        ((), ()),
+        (((0, [0, 0, 0]),), ()),
+        # Two-frame clean: static zeros next to one uniform stride per dim.
+        (((0, [8, 8, 0]),), ()),
+        (((0, [8, 8, 0]), (1, [1, 1, 0])), ()),
+        (((0, [4]),), ()),
+        # Each dimension has one stride, but the moving index sets differ:
+        # the dimensions mixing static and moving addresses are listed.
+        (((0, [8, 8, 0]), (1, [1, 1, 1])), (0,)),
+        (((0, [8, 8, 0]), (1, [0, 1, 1])), (0, 1)),
+        # Non-constant deltas within a dimension.
+        (((0, [8, 16, 0]), (1, [1, 1, 1])), (0,)),
+        (((0, [8, 8, 8]), (1, [1, 2, 1])), (1,)),
+    ],
+)
+def test_template_nonuniform_dims(deltas, expected):
+    """``RowTemplate.nonuniform_dims`` is what the steady gate refuses on."""
+    deltas = tuple((d, np.array(v, dtype=np.int64)) for d, v in deltas)
+    n = len(deltas[0][1]) if deltas else 3
+    template = RowTemplate(
+        [], (0, 0), np.arange(n, dtype=np.int64) * 64, deltas, signature=()
+    )
+    assert template.nonuniform_dims == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Engine selection, REPRO_MEMO modes, iterated runs and memo demotion."""
+"""Engine selection, REPRO_MEMO modes and iterated runs."""
 
 import pytest
 
 from repro.bench.runner import ExperimentRunner
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import make_kernel
-from repro.machine import memo as memo_mod
-from repro.machine.config import LX2
+from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
 from repro.machine.pipeline import PipelineModel
@@ -15,12 +14,12 @@ from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
 
-def _kernel(n=64, stencil="star2d5p", method="hstencil", seed=0):
+def _kernel(n=64, stencil="star2d5p", method="hstencil", seed=0, config=None):
     mem = MemorySpace()
     spec = benchmark(stencil)
     src = Grid2D(mem, n, n, spec.radius, "A", fill="random", seed=seed)
     dst = Grid2D(mem, n, n, spec.radius, "B")
-    kernel = make_kernel(method, spec, src, dst, LX2(), KernelOptions())
+    kernel = make_kernel(method, spec, src, dst, config or LX2(), KernelOptions())
     return mem, kernel
 
 
@@ -97,30 +96,46 @@ def test_run_kernel_precedence(monkeypatch):
 
 def test_memo_mode_default_and_aliases(monkeypatch):
     monkeypatch.delenv("REPRO_MEMO", raising=False)
-    assert memo_mod.memo_mode() == "pass"
-    for raw, mode in [
-        ("off", "off"), ("0", "off"), ("false", "off"),
-        ("block", "block"), ("pass", "pass"), ("PASS", "pass"),
-        ("full", "full"), ("1", "full"), ("on", "full"), ("true", "full"),
-    ]:
+    assert TimingEngine(LX2()).memo == "pass"
+    for raw, mode in [("off", "off"), ("pass", "pass"), ("PASS", "pass")]:
         monkeypatch.setenv("REPRO_MEMO", raw)
-        assert memo_mod.memo_mode() == mode, raw
-    monkeypatch.setenv("REPRO_MEMO", "sometimes")
-    with pytest.raises(ValueError):
-        memo_mod.memo_mode()
+        assert TimingEngine(LX2()).memo == mode, raw
+    # Retired block-level modes and the old aliases fail on construction,
+    # naming the two accepted values.
+    for raw in ["block", "full", "on", "1", "true", "0", "false", "sometimes"]:
+        monkeypatch.setenv("REPRO_MEMO", raw)
+        with pytest.raises(ValueError, match="'pass', 'off'"):
+            TimingEngine(LX2())
 
 
 def test_memo_gates(monkeypatch):
-    expectations = {
-        "off": (False, False),
-        "block": (True, False),
-        "pass": (False, True),
-        "full": (True, True),
-    }
-    for mode, (block_gate, pass_gate) in expectations.items():
-        monkeypatch.setenv("REPRO_MEMO", mode)
-        assert memo_mod.memo_enabled() is block_gate
-        assert memo_mod.pass_memo_enabled() is pass_gate
+    """``off`` walks every pass; ``pass`` stops at the state fixed point."""
+    iters = 8
+    digests = []
+    real_digest = PipelineModel.state_digest
+
+    def spy(self):
+        digests.append(1)
+        return real_digest(self)
+
+    monkeypatch.setattr(PipelineModel, "state_digest", spy)
+    results = {}
+    for memo in ("off", "pass"):
+        monkeypatch.setenv("REPRO_MEMO", memo)
+        digests.clear()
+        _, kernel = _kernel()
+        passes = []
+        preamble = kernel.preamble
+        kernel.preamble = lambda: passes.append(1) or preamble()
+        pc = TimingEngine(LX2(), engine="compiled").run(kernel, iters=iters)
+        results[memo] = (len(digests), len(passes), pc.to_dict())
+    off_digests, off_passes, off_counters = results["off"]
+    pass_digests, pass_passes, pass_counters = results["pass"]
+    assert off_digests == 0
+    assert off_passes == 1 + iters  # warm pass + every measured pass
+    assert pass_digests >= 2
+    assert pass_passes < off_passes
+    assert pass_counters == off_counters
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +152,19 @@ def test_iters_validation():
         engine.run(kernel, sample=True, iters=2)
 
 
-def test_iters_bit_identical_across_engines_and_memo_modes(monkeypatch):
-    """Reference and compiled (all memo modes) agree on iterated counters."""
+@pytest.mark.parametrize("machine", [LX2, M4], ids=["LX2", "M4"])
+def test_iters_bit_identical_across_engines_and_memo_modes(monkeypatch, machine):
+    """Reference and compiled (both memo modes) agree on iterated counters."""
     iters = 5
     results = {}
     for engine_name, memo in [
         ("reference", "off"),
         ("compiled", "off"),
-        ("compiled", "block"),
         ("compiled", "pass"),
-        ("compiled", "full"),
     ]:
         monkeypatch.setenv("REPRO_MEMO", memo)
-        _, kernel = _kernel()
-        pc = TimingEngine(LX2(), engine=engine_name).run(kernel, iters=iters)
+        _, kernel = _kernel(config=machine())
+        pc = TimingEngine(machine(), engine=engine_name).run(kernel, iters=iters)
         results[(engine_name, memo)] = pc.to_dict()
     baseline = results[("reference", "off")]
     for key, counters in results.items():
@@ -189,48 +203,3 @@ def test_state_signature_recurs_at_pass_boundaries():
     sig = pipe.state_signature()
     one_pass()
     assert pipe.state_signature() == sig
-
-
-# ---------------------------------------------------------------------------
-# Block-level memo: probe verification demotes corrupted entries, and the
-# counters stay bit-identical to the plain replay throughout.
-# ---------------------------------------------------------------------------
-
-
-def test_memo_probe_mismatch_demotes_and_stays_bit_identical():
-    from repro.kernels.template import TraceCompiler
-    from repro.machine.memo import TimingMemo
-
-    config = LX2()
-    passes = 5
-
-    def run(memo=None, corrupt_after=None):
-        _, kernel = _kernel()
-        pipe = PipelineModel(config)
-        compiler = TraceCompiler(kernel)
-        for p in range(passes):
-            pipe.process_trace(kernel.preamble())
-            for block in kernel.loop_nest():
-                entry = compiler.lookup(block)
-                program = entry[0].timing_program(config) if entry else None
-                if program is None:
-                    pipe.process_trace(kernel.emit(block))
-                elif memo is None:
-                    pipe.process_template(program, entry[1])
-                else:
-                    memo.replay(pipe, program, entry[0], entry[1])
-            if memo is not None and corrupt_after == p:
-                for buckets in memo._tables.values():
-                    for cands in buckets.values():
-                        for stored in cands:
-                            stored.frontier_rel += 1  # falsify the recording
-        return pipe.snapshot()
-
-    plain = run()
-    memo = TimingMemo(config)
-    memo.probe_interval = 1  # verify-or-demote on every hit
-    memoed = run(memo=memo, corrupt_after=1)
-    assert memoed.to_dict() == plain.to_dict()
-    assert memo.demotions >= 1
-    # Demoted programs are dropped from the tables for good.
-    assert all(p not in memo._tables for p in memo._demoted)
