@@ -245,29 +245,32 @@ class ExperimentRunner:
         compiler = TraceCompiler(kernel, nest=nest, config=self.machine)
         blocks = list(nest.blocks)
         templated = 0
-        while True:
-            edge = compiler.edge
-            seen: set = set()
-            restart = False
-            for block in blocks:
-                cls = compiler._class_of(block.key)
-                if cls is None or cls in seen:
-                    continue
-                seen.add(cls)
-                entry = compiler.lookup(block)
-                if compiler.edge != edge:
-                    restart = True  # edge widened: class labels changed
+        try:
+            while True:
+                edge = compiler.edge
+                seen: set = set()
+                restart = False
+                for block in blocks:
+                    cls = compiler._class_of(block.key)
+                    if cls is None or cls in seen:
+                        continue
+                    seen.add(cls)
+                    entry = compiler.lookup(block)
+                    if compiler.edge != edge:
+                        restart = True  # edge widened: class labels changed
+                        break
+                    if entry is None:
+                        continue
+                    template, _addrs = entry
+                    # Force both lowerings; the pooled builders write
+                    # through to the store.
+                    if template.timing_program(self.machine) is not None:
+                        templated += 1
+                    template.functional_program()
+                if not restart:
                     break
-                if entry is None:
-                    continue
-                template, _addrs = entry
-                # Force both lowerings; the pooled builders write through
-                # to the store.
-                if template.timing_program(self.machine) is not None:
-                    templated += 1
-                template.functional_program()
-            if not restart:
-                break
+        finally:
+            compiler.flush()
         return {
             "method": method,
             "stencil": stencil,

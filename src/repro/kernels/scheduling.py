@@ -22,10 +22,14 @@ exactly what the machine measures:
    something slower than program order; the final arbitration makes the
    "scheduling never hurts" property hold by construction.
 
-Because all interior blocks of a kernel share one register/dependence
-structure and one line-relative address pattern, the computed permutation
-is cached by both and re-applied in O(n) — without this, band-sampled
-out-of-cache runs would re-schedule thousands of identical blocks.  The
+Because all interior blocks of a kernel share one structure and one
+line-relative address pattern, the computed permutation is cached by both
+and re-applied in O(n) — without this, band-sampled out-of-cache runs would
+re-schedule thousands of identical blocks.  The structure is the trace
+signature the template layer already computes
+(:func:`repro.machine.compiled.trace_signature`: every instruction's class
+and non-address fields), which determines each instruction's mnemonic,
+port and register reads and writes, so it pins the dependence DAG.  The
 address pattern is part of the key because step 4's verdict depends on
 it: a permutation arbitrated for one pattern may lose to program order on
 another.  Lines are taken relative to the start of their *cluster* (runs
@@ -44,22 +48,15 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.isa.instructions import Instruction, PortClass, PRFM
 from repro.isa.program import Trace
+from repro.machine.compiled import trace_signature
 from repro.machine.config import MachineConfig
 
 #: Ready instructions examined per scheduling step (priority-ordered).
 _BEAM = 24
 
-#: Permutation cache keyed by (machine name, structural signature,
-#: address pattern).
+#: Permutation cache keyed by (machine name, trace signature, address
+#: pattern).
 _PERM_CACHE: Dict[Tuple, Tuple[int, ...]] = {}
-
-
-def _signature(trace: Sequence[Instruction]) -> Tuple:
-    """Structural signature: registers and ports, addresses ignored."""
-    return tuple(
-        (ins.mnemonic, ins.port, tuple(ins.reads()), tuple(ins.writes()))
-        for ins in trace
-    )
 
 
 def _address_pattern(trace: Sequence[Instruction], line_words: int, reach: int) -> Tuple:
@@ -327,7 +324,7 @@ def schedule_trace(
     aliasing = _has_memory_aliasing(trace)
     if not aliasing:
         pattern = _address_pattern(trace, config.l1.line_bytes // 8, config.hw_prefetch_depth)
-        key = (config.name, _signature(trace), pattern)
+        key = (config.name, trace_signature(trace), pattern)
         perm = _PERM_CACHE.get(key)
         if perm is None:
             succs, indeg = _build_dag(trace, memory_edges=False)

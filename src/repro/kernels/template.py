@@ -332,8 +332,10 @@ class TraceCompiler:
         self._bundle_inputs: Optional[Dict] = None
         #: Raw stored class entries (repr(cls) -> payload | "demoted").
         self._stored_classes: Dict[str, object] = {}
-        #: Read-modify-write image flushed on every newly resolved class.
+        #: In-memory bundle image: the stored classes plus every class (or
+        #: demotion verdict) resolved since; :meth:`flush` writes it once.
         self._bundle_out: Optional[Dict] = None
+        self._dirty = False
         if self.store is not None and self.config is not None:
             self._load_bundle()
 
@@ -361,6 +363,7 @@ class TraceCompiler:
                 # the reclassified bundle under the new edge.
                 self._stored_classes = {}
                 self._bundle_out = None
+                self._dirty = False
                 continue
             break
         if template is None:
@@ -443,8 +446,9 @@ class TraceCompiler:
         live emit of the block actually being replayed (signature + exact
         addresses through the template's affine model) before it is
         trusted.  A failed check demotes the class permanently — exactly
-        what the live path does on a failed probe — and persists the
-        verdict.  Corrupt/undecodable entries fall back to a live compile.
+        what the live path does on a failed probe — and records the
+        verdict in the bundle image.  Corrupt/undecodable entries fall back
+        to a live compile.
         """
         stored = self._stored_classes.get(repr(cls)) if self._stored_classes else None
         if stored is None:
@@ -532,7 +536,7 @@ class TraceCompiler:
         return template
 
     def _record_class(self, cls: Tuple, template: Optional[RowTemplate]) -> None:
-        """Write a freshly resolved class (or demotion verdict) back."""
+        """Add a freshly resolved class (or demotion verdict) to the image."""
         if self.store is None or self._bundle_digest is None:
             return
         if template is None:
@@ -552,9 +556,22 @@ class TraceCompiler:
             self._bundle_out = {"edge": self.edge, "classes": dict(self._stored_classes)}
         self._bundle_out["edge"] = self.edge
         self._bundle_out["classes"][repr(cls)] = entry
-        # Read-modify-write with atomic replace: concurrent writers may
-        # race, but entries are deterministic per digest, so last-writer-
-        # wins only ever loses still-recomputable classes, never coherence.
+        self._dirty = True
+
+    def flush(self) -> None:
+        """Write the bundle image if any class was resolved since the last
+        write.
+
+        Whoever drives :meth:`lookup` calls this once, when the run ends:
+        rewriting the whole, growing bundle on every resolved class made
+        persistence quadratic in the class count.  The write is an atomic
+        replace; concurrent writers may race, but entries are deterministic
+        per digest, so last-writer-wins only ever loses still-recomputable
+        classes, never coherence.
+        """
+        if not self._dirty:
+            return
+        self._dirty = False
         self.store.store(
             "templates", self._bundle_digest, self._bundle_out, inputs=self._bundle_inputs
         )

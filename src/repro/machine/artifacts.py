@@ -28,7 +28,10 @@ installed explicitly (:func:`install_artifact_store`, reached through the
 ``--artifact-dir`` CLI flag and the ``artifact_dir=`` keyword on
 ``TimingEngine`` / ``ExperimentRunner`` / ``MulticoreModel``) or via the
 ``REPRO_ARTIFACTS`` environment variable.  Writes are atomic (temp file +
-``os.replace``), so concurrent sweep workers can share one store.
+``os.replace``), so concurrent sweep workers can share one store.  Each
+entry is rendered with ``json.dumps`` and written in one call: ``json.dump``
+to a file object always runs CPython's pure-Python encoder, which made
+persisting template bundles the bulk of a precompile run.
 """
 
 from __future__ import annotations
@@ -362,6 +365,10 @@ def prune_tree(root, max_age_days: Optional[float] = None,
 
 # -- the store ----------------------------------------------------------------
 
+#: Per-kind store counters; :meth:`ArtifactStore.stats` also reports their
+#: totals under the same names.
+_STORE_EVENTS = ("hits", "misses", "stores")
+
 
 class ArtifactStore:
     """Disk-backed store of compiled artifacts, one JSON file per digest.
@@ -376,14 +383,19 @@ class ArtifactStore:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        #: kind -> {"hits", "misses", "stores"}; ``stats`` sums the kinds.
+        self.kinds: Dict[str, Dict[str, int]] = {}
         self.invalid = 0
         self.store_errors = 0
 
     def path_for(self, kind: str, digest: str) -> Path:
         return self.root / kind / digest[:2] / f"{digest}.json"
+
+    def _count(self, kind: str, event: str) -> None:
+        bucket = self.kinds.get(kind)
+        if bucket is None:
+            bucket = self.kinds[kind] = dict.fromkeys(_STORE_EVENTS, 0)
+        bucket[event] += 1
 
     def load(self, kind: str, digest: str) -> Optional[Dict]:
         """Return the stored data payload, or ``None`` on miss/corruption."""
@@ -391,25 +403,18 @@ class ArtifactStore:
         try:
             text = path.read_text()
         except OSError:
-            self.misses += 1
+            self._count(kind, "misses")
             return None
         try:
             payload = json.loads(text)
-        except ValueError:  # present but truncated/corrupt
-            self.invalid += 1
-            self.misses += 1
-            return None
-        try:
             if payload["meta"] != artifact_meta():
-                self.invalid += 1
-                self.misses += 1
-                return None
+                raise ValueError("artifact meta mismatch")
             data = payload["data"]
-        except (KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):  # truncated, corrupt or skewed
             self.invalid += 1
-            self.misses += 1
+            self._count(kind, "misses")
             return None
-        self.hits += 1
+        self._count(kind, "hits")
         return data
 
     def store(self, kind: str, digest: str, data, inputs: Optional[Dict] = None) -> bool:
@@ -421,6 +426,7 @@ class ArtifactStore:
         """
         path = self.path_for(kind, digest)
         payload = {"kind": kind, "meta": artifact_meta(), "inputs": inputs, "data": data}
+        text = json.dumps(payload, sort_keys=True)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -429,7 +435,7 @@ class ArtifactStore:
             return False
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp, path)
         except OSError:
             self.store_errors += 1
@@ -438,17 +444,20 @@ class ArtifactStore:
             except OSError:
                 pass
             return False
-        self.stores += 1
+        self._count(kind, "stores")
         return True
 
     def stats(self) -> Dict:
+        totals = {
+            event: sum(bucket[event] for bucket in self.kinds.values())
+            for event in _STORE_EVENTS
+        }
         return {
             "root": str(self.root),
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
+            **totals,
             "invalid": self.invalid,
             "store_errors": self.store_errors,
+            "kinds": {kind: dict(self.kinds[kind]) for kind in sorted(self.kinds)},
         }
 
     def disk_stats(self) -> Dict:

@@ -341,8 +341,9 @@ class _ClassState:
 class ColumnarReplayer:
     """Band-at-a-time columnar replay driver for one kernel run.
 
-    Owns the kernel's :class:`~repro.kernels.template.TraceCompiler` and
-    (a view of) a :class:`ColumnarShare`; mutates the supplied pipe exactly
+    Drives the kernel's :class:`~repro.kernels.template.TraceCompiler`
+    (its caller owns it and flushes it when the run ends) and (a view of) a
+    :class:`ColumnarShare`; mutates the supplied pipe exactly
     as the scalar per-block walk would (bit-identical counters and state,
     enforced by the probe lifecycle and ``tests/test_columnar_timing.py``).
     """
@@ -352,14 +353,13 @@ class ColumnarReplayer:
         kernel: Kernel,
         config: MachineConfig,
         pipe: PipelineModel,
-        nest=None,
-        compiler: Optional[TraceCompiler] = None,
+        compiler: TraceCompiler,
         share: Optional[ColumnarShare] = None,
     ) -> None:
         self.kernel = kernel
         self.config = config
         self.pipe = pipe
-        self.compiler = compiler or TraceCompiler(kernel, nest=nest, config=config)
+        self.compiler = compiler
         self.share = share if share is not None else ColumnarShare()
         self._plans = self.share.plans
         self._pmemo = self.share.pmemo

@@ -279,7 +279,7 @@ class FunctionalEngine:
         pending_program = None
         pending_addrs: list = []
 
-        def flush() -> None:
+        def run_pending() -> None:
             nonlocal pending_program
             if pending_program is not None:
                 replayer.run(pending_program, pending_addrs)
@@ -287,20 +287,23 @@ class FunctionalEngine:
                 pending_addrs.clear()
 
         self.execute_trace(kernel.preamble())
-        for block in kernel.loop_nest():
-            entry = compiler.lookup(block)
-            if entry is not None:
-                template, addrs = entry
-                program = template.functional_program()
-                if program is not None:
-                    if program is not pending_program:
-                        flush()
-                        pending_program = program
-                    pending_addrs.append(addrs)
-                    continue
-            flush()
-            self.execute_trace(kernel.emit(block))
-        flush()
+        try:
+            for block in kernel.loop_nest():
+                entry = compiler.lookup(block)
+                if entry is not None:
+                    template, addrs = entry
+                    program = template.functional_program()
+                    if program is not None:
+                        if program is not pending_program:
+                            run_pending()
+                            pending_program = program
+                        pending_addrs.append(addrs)
+                        continue
+                run_pending()
+                self.execute_trace(kernel.emit(block))
+            run_pending()
+        finally:
+            compiler.flush()
 
     def run_blocks(self, kernel: Kernel, blocks: Iterable[KernelBlock]) -> None:
         """Execute the preamble plus a subset of blocks (band verification)."""

@@ -176,7 +176,8 @@ class TimingEngine:
         #: In-process steady records keyed by bundle digest: a verified
         #: ``(period, delta, signature)`` from any earlier run (or the
         #: artifact store) lets later runs skip detection entirely and go
-        #: straight to the verification window.
+        #: straight to the verification window.  ``None`` remembers a store
+        #: miss, so each key is probed on disk at most once per engine.
         self._steady_records: dict = {}
         #: Per-run / per-lockstep-run controller accounting
         #: (:class:`repro.machine.steady.SteadyStats`), refreshed by each
@@ -201,17 +202,14 @@ class TimingEngine:
     # ------------------------------------------------------------------
 
     def _block_runner(
-        self, kernel: Kernel, pipe: PipelineModel, nest=None, compiler=None
+        self, kernel: Kernel, pipe: PipelineModel, compiler=None
     ) -> Callable[[KernelBlock], None]:
-        """Per-block processing function for the selected engine."""
-        if self.engine != "compiled":
+        """Per-block processing function (``compiler`` is ``None`` exactly
+        for the reference engine)."""
+        if compiler is None:
             return lambda block: pipe.process_trace(kernel.emit(block))
 
-        from repro.kernels.template import TraceCompiler
-
         config = self.config
-        if compiler is None:
-            compiler = TraceCompiler(kernel, nest=nest, config=config)
 
         def run_block(block: KernelBlock) -> None:
             entry = compiler.lookup(block)
@@ -276,11 +274,13 @@ class TimingEngine:
     # ------------------------------------------------------------------
 
     def _band_machinery(self, kernel: Kernel, pipe: PipelineModel, nest):
-        """``(run_band, compiler)`` for a banded full-grid replay.
+        """``(run_band, compiler)`` for a band-at-a-time replay.
 
         The compiler (compiled engine only) is built here and shared with
         the replayer / block runner so the steady-state controller sees the
-        same template classes the replay resolves.
+        same template classes the replay resolves.  The caller owns it and
+        must :meth:`~repro.kernels.template.TraceCompiler.flush` it when the
+        run ends, so the template bundle is written once per run.
         """
         compiler = None
         if self.engine == "compiled":
@@ -288,21 +288,16 @@ class TimingEngine:
 
             compiler = TraceCompiler(kernel, nest=nest, config=self.config)
 
-        # Columnar replay vectorizes the first pass the same way it
-        # vectorizes sampled bands.
+        # Columnar replay vectorizes full passes the same way it vectorizes
+        # sampled bands.
         if compiler is not None and self.timing == "columnar":
             from repro.machine.columnar import ColumnarReplayer
 
             run_band = ColumnarReplayer(
-                kernel,
-                self.config,
-                pipe,
-                nest=nest,
-                compiler=compiler,
-                share=self._columnar_share(),
+                kernel, self.config, pipe, compiler, share=self._columnar_share()
             ).process_band
         else:
-            run_block = self._block_runner(kernel, pipe, nest=nest, compiler=compiler)
+            run_block = self._block_runner(kernel, pipe, compiler)
 
             def run_band(band) -> None:
                 for block in band:
@@ -318,13 +313,16 @@ class TimingEngine:
         key = steady_mod.steady_record_key(compiler)
         record = None
         if key is not None:
-            record = self._steady_records.get(key)
-            if record is None:
+            try:
+                record = self._steady_records[key]
+            except KeyError:
+                # Probe the store once per engine: a miss is remembered as
+                # ``None`` (later passes and runs would miss again) until
+                # ``on_record`` replaces it with a verified record.
                 store = active_store()
                 if store is not None:
                     record = store.load("steady", key)
-                    if record is not None:
-                        self._steady_records[key] = record
+                    self._steady_records[key] = record
 
         def on_record(rec) -> None:
             if key is None:
@@ -374,6 +372,16 @@ class TimingEngine:
                     if nk is not None:
                         k = nk
 
+        try:
+            counters = self._measure_passes(pipe, one_pass, warm, iters)
+        finally:
+            if compiler is not None:
+                compiler.flush()
+        counters.points = nest.total_points() * iters
+        return counters
+
+    def _measure_passes(self, pipe: PipelineModel, one_pass, warm: bool, iters: int):
+        """Counters of ``iters`` measured passes (after an optional warm one)."""
         if warm:
             one_pass()
             before = pipe.snapshot()
@@ -420,7 +428,6 @@ class TimingEngine:
             counters = pipe.snapshot()
         if before is not None:
             counters = PipelineModel.delta(counters, before)
-        counters.points = nest.total_points() * iters
         return counters
 
     def run_lockstep(
@@ -519,12 +526,17 @@ class TimingEngine:
                         raise RuntimeError("lockstep engage desynchronized")
                 k += m * p
 
-        if warm:
+        try:
+            if warm:
+                one_pass()
+                befores = [pipe.snapshot() for _k, pipe, *_ in cores]
+            else:
+                befores = [None] * len(cores)
             one_pass()
-            befores = [pipe.snapshot() for _k, pipe, *_ in cores]
-        else:
-            befores = [None] * len(cores)
-        one_pass()
+        finally:
+            for *_, compiler in cores:
+                if compiler is not None:
+                    compiler.flush()
         out = []
         for (kernel, pipe, nest, *_), before in zip(cores, befores):
             counters = pipe.snapshot()
@@ -541,34 +553,27 @@ class TimingEngine:
         total_points = nest.total_points()
 
         warmup = min(plan.warmup_bands, max(len(bands) - 1, 0))
-        if self.engine == "compiled" and self.timing == "columnar":
-            from repro.machine.columnar import ColumnarReplayer
+        run_band, compiler = self._band_machinery(kernel, pipe, nest)
 
-            run_band = ColumnarReplayer(
-                kernel, self.config, pipe, nest=nest, share=self._columnar_share()
-            ).process_band
-        else:
-            run_block = self._block_runner(kernel, pipe, nest=nest)
+        try:
+            pipe.process_trace(kernel.preamble())
+            for band in bands[:warmup]:
+                run_band(band)
 
-            def run_band(band) -> None:
-                for block in band:
-                    run_block(block)
-
-        pipe.process_trace(kernel.preamble())
-        for band in bands[:warmup]:
-            run_band(band)
-
-        before = pipe.snapshot()
-        measured_points = 0
-        measured_bands = 0
-        for band in bands[warmup:]:
-            run_band(band)
-            measured_points += sum(block.points for block in band)
-            measured_bands += 1
-            if measured_points >= plan.min_measure_points:
-                break
-            if plan.max_measure_bands is not None and measured_bands >= plan.max_measure_bands:
-                break
+            before = pipe.snapshot()
+            measured_points = 0
+            measured_bands = 0
+            for band in bands[warmup:]:
+                run_band(band)
+                measured_points += sum(block.points for block in band)
+                measured_bands += 1
+                if measured_points >= plan.min_measure_points:
+                    break
+                if plan.max_measure_bands is not None and measured_bands >= plan.max_measure_bands:
+                    break
+        finally:
+            if compiler is not None:
+                compiler.flush()
         after = pipe.snapshot()
 
         if measured_points == 0:

@@ -11,6 +11,7 @@ over the whole method registry on both machine presets, mirroring
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -34,14 +35,17 @@ from repro.machine.artifacts import (
 )
 from repro.machine.codegen import codegen_stats
 from repro.machine.compiled import (
+    ADDR_FIELDS,
     ProgramPool,
     clear_program_pool,
     program_pool_stats,
+    trace_addresses,
 )
 from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
-from repro.machine.timing import TimingEngine
+from repro.machine.multicore import MulticoreModel
+from repro.machine.timing import SamplePlan, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 from tests.capabilities import make_kernel_or_skip
@@ -211,6 +215,159 @@ def test_tampered_template_demoted_on_load(tmp_path):
     stats = compile_stats()
     assert rebuilt == live  # demoted classes replay through the live path
     assert stats["load_demotions"] >= 1
+
+    # The demoted mid class widened the edge, so the run rewrote the bundle
+    # under the wider edge.  Now tamper an edge class of that bundle (no
+    # widening can follow its demotion): the verdict must be on disk when
+    # the run returns, and the next run must adopt it without a probe.
+    [path] = bundles
+    with open(path) as fh:
+        data = json.load(fh)
+    label, entry = next(
+        (label, entry)
+        for label, entry in sorted(data["data"]["classes"].items())
+        if isinstance(entry, dict) and "'M'" not in label
+    )
+    # Move every address by one cache line, in the trace and in addr0 alike:
+    # the entry still decodes consistently, but no live block matches it.
+    trace = [
+        dataclasses.replace(ins, addr=ins.addr + 8) if type(ins) in ADDR_FIELDS else ins
+        for ins in decode_trace(entry["trace"])
+    ]
+    entry["trace"] = encode_trace(trace)
+    entry["addr0"] = trace_addresses(trace)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    assert _timing_run("hstencil", "LX2", tmp_path) == live
+    assert compile_stats()["load_demotions"] == 1
+    with open(path) as fh:
+        assert json.load(fh)["data"]["classes"][label] == "demoted"
+    assert _timing_run("hstencil", "LX2", tmp_path) == live
+    stats = compile_stats()
+    assert stats["load_demotions"] == 0 and stats["compiled_classes"] == 0
+
+
+# -- write-once template bundles ----------------------------------------------
+
+
+@pytest.fixture
+def template_writes(monkeypatch):
+    """Digests of every ``templates`` entry written, in write order."""
+    writes = []
+    store = ArtifactStore.store
+
+    def spy(self, kind, digest, data, inputs=None):
+        if kind == "templates":
+            writes.append(digest)
+        return store(self, kind, digest, data, inputs=inputs)
+
+    monkeypatch.setattr(ArtifactStore, "store", spy)
+    return writes
+
+
+def _fresh_process(store_dir):
+    """Process-wide state a new process would start with, on ``store_dir``."""
+    install_artifact_store(str(store_dir))
+    clear_program_pool(reset_stats=True)
+    reset_compile_stats()
+
+
+def test_precompile_writes_each_bundle_once(tmp_path, template_writes):
+    from repro.bench.runner import ExperimentRunner
+
+    _fresh_process(tmp_path)
+    info = ExperimentRunner(LX2(), artifact_dir=str(tmp_path)).precompile_cell(
+        "hstencil", "star2d9p", (32, 32)
+    )
+    assert info["compiled"] >= 2  # several classes, still one write
+    assert len(template_writes) == 1
+    [path] = [p for p in _artifact_files(tmp_path) if f"{os.sep}templates{os.sep}" in p]
+    with open(path) as fh:
+        text = fh.read()
+    # One C-encoded dump: the file is exactly json.dumps of its payload.
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+
+    _fresh_process(tmp_path)
+    again = ExperimentRunner(LX2(), artifact_dir=str(tmp_path)).precompile_cell(
+        "hstencil", "star2d9p", (32, 32)
+    )
+    assert again["compiled"] == 0 and again["loaded"] == info["compiled"]
+    assert len(template_writes) == 1
+
+    _fresh_process(tmp_path)
+    ExperimentRunner(LX2(), artifact_dir=str(tmp_path)).measure("hstencil", "star2d9p", (32, 32))
+    assert compile_stats()["compiled_classes"] == 0
+    assert len(template_writes) == 1
+
+
+def _entry_sampled(store_dir):
+    kernel, config, _, _ = _build("hstencil", "LX2", stencil="box2d9p", rows=64, cols=32)
+    plan = SamplePlan(warmup_bands=1, min_measure_points=600)
+    return TimingEngine(config).run(kernel, sample=True, plan=plan).to_dict()
+
+
+def _entry_lockstep(store_dir):
+    kernels = [_build("hstencil", "LX2", rows=rows)[0] for rows in (16, 24)]
+    return [c.to_dict() for c in TimingEngine(LX2()).run_lockstep(kernels)]
+
+
+def _entry_strong_scaling(store_dir):
+    def kernel_for_rows(rows):
+        return _build("hstencil", "LX2", stencil="box2d9p", rows=rows, cols=32)[0]
+
+    plan = SamplePlan(warmup_bands=1, min_measure_points=600)
+    points = MulticoreModel(LX2()).strong_scaling(kernel_for_rows, 48, [1, 2, 4], plan=plan)
+    return [dataclasses.asdict(p) for p in points]
+
+
+def _entry_functional(store_dir):
+    kernel, _, mem, dst = _build("hstencil", "LX2")
+    FunctionalEngine(mem).run_kernel(kernel, engine="compiled")
+    return dst.get_full().tolist()
+
+
+def _entry_precompile(store_dir):
+    from repro.bench.runner import ExperimentRunner
+
+    runner = ExperimentRunner(LX2(), artifact_dir=str(store_dir))
+    return runner.precompile_cell("hstencil", "star2d9p", (32, 32))["classes"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [_entry_sampled, _entry_lockstep, _entry_strong_scaling, _entry_functional,
+     _entry_precompile],
+    ids=["sampled", "lockstep", "strong_scaling", "functional", "precompile"],
+)
+def test_every_entry_point_persists_templates(entry, tmp_path, template_writes):
+    """Each owner of a template compiler flushes it: after one cold-store
+    run, a warm run compiles no class live and writes no bundle."""
+    _fresh_process(tmp_path)
+    cold = entry(tmp_path)
+    compiled = compile_stats()["compiled_classes"]
+    assert compiled >= 1
+    assert 1 <= len(template_writes) == len(set(template_writes))
+    written = len(template_writes)
+
+    _fresh_process(tmp_path)
+    warm = entry(tmp_path)
+    stats = compile_stats()
+    assert warm == cold
+    assert stats["compiled_classes"] == 0
+    assert stats["loaded_classes"] == compiled
+    assert len(template_writes) == written
+
+
+def test_store_stats_break_down_by_kind(tmp_path):
+    _timing_run("hstencil", "LX2", tmp_path)
+    stats = active_store().stats()
+    kinds = stats["kinds"]
+    assert {"templates", "timing", "steady"} <= set(kinds)
+    assert kinds["templates"] == {"hits": 0, "misses": 1, "stores": 1}
+    for key in ("hits", "misses", "stores"):
+        assert sum(k[key] for k in kinds.values()) == stats[key]
+    _timing_run("hstencil", "LX2", tmp_path)
+    assert active_store().stats()["kinds"]["templates"] == {"hits": 1, "misses": 1, "stores": 1}
 
 
 # -- program pool ------------------------------------------------------------
@@ -518,6 +675,9 @@ def test_cli_precompile_and_cache(tmp_path, capsys):
     assert "1 cells precompiled" in out
     assert '"program_pool"' in out and '"disk"' in out
     assert ArtifactStore(store_dir).disk_stats()["entries"] >= 2
+    # The store counters break down per kind: one bundle, written once.
+    stats = json.loads(out[out.index("\n{") :])
+    assert stats["store"]["kinds"]["templates"] == {"hits": 0, "misses": 1, "stores": 1}
 
     rc = main(["cache", "stats", "--artifact-dir", store_dir])
     payload = json.loads(capsys.readouterr().out)

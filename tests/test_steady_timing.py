@@ -20,7 +20,7 @@ import pytest
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import METHODS, make_kernel
 from repro.kernels.template import RowTemplate
-from repro.machine.artifacts import install_artifact_store
+from repro.machine.artifacts import ArtifactStore, install_artifact_store
 from repro.machine.config import LX2, M4
 from repro.machine.memory import MemorySpace
 from repro.machine.multicore import MulticoreModel
@@ -219,6 +219,38 @@ def test_steady_record_round_trip(tmp_path):
         assert second.to_dict() == first.to_dict()
     finally:
         install_artifact_store(None)
+
+
+def test_missing_steady_record_probed_once_per_kernel(tmp_path, monkeypatch):
+    """A store miss for a steady record is remembered by the engine: every
+    pass of an iterated run (and every later run) reuses it instead of
+    re-reading the disk."""
+    probes = []
+    load = ArtifactStore.load
+
+    def spy(self, kind, digest):
+        if kind == "steady":
+            probes.append(digest)
+        return load(self, kind, digest)
+
+    monkeypatch.setattr(ArtifactStore, "load", spy)
+    try:
+        engine = TimingEngine(
+            LX2(), engine="compiled", steady="on", artifact_dir=str(tmp_path)
+        )
+        first, _ = _build("hstencil", "LX2", "star2d9p", 32, 32)
+        counters = engine.run(first, sample=False, iters=8)
+        assert len(probes) == 1
+        engine.run(first, sample=False, iters=8)
+        assert len(probes) == 1
+        second, _ = _build("hstencil", "LX2", "box2d9p", 32, 32)
+        engine.run(second, sample=False, iters=8)
+        assert len(probes) == 2 and probes[0] != probes[1]
+    finally:
+        install_artifact_store(None)
+    plain = TimingEngine(LX2(), engine="compiled", steady="on")
+    first, _ = _build("hstencil", "LX2", "star2d9p", 32, 32)
+    assert plain.run(first, sample=False, iters=8).to_dict() == counters.to_dict()
 
 
 # ---------------------------------------------------------------------------
